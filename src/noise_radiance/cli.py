@@ -171,8 +171,10 @@ def build_grid(cp: configparser.ConfigParser) -> np.ndarray:
 
 
 def _resolve_threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return int(args.threads)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise InvariantViolationError(f"--threads must be at least 1, got {args.threads}")
+        return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:
         try:

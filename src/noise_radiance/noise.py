@@ -54,6 +54,9 @@ TRANSFORM_TOL = 1e-8
 #: spectral densities above this (scaled) floor are considered non-negative
 ADMISSIBILITY_FLOOR = -1e-9
 
+#: most Gauss-Legendre panels a Gaussian correlation moment may use
+MAX_GAUSSIAN_PANELS = 400_000
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -424,7 +427,8 @@ def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     bump has fallen by exp(-50) and composite Gauss-Legendre panels are
     sized to resolve both the oscillation Im(c) and the growth Re(c).
     Twelve-point panels keep the absolute error far below the severe
-    cancellation that long oscillatory ranges produce.
+    cancellation that long oscillatory ranges produce.  Needing more than
+    ``MAX_GAUSSIAN_PANELS`` panels raises ``QuadratureNonConvergentError``.
     """
     if t <= 0.0:
         return 0.0 + 0.0j
@@ -432,8 +436,12 @@ def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     upper = min(float(t), center + 10.0 * tau)
     speed = max(abs(c.imag), abs(c.real), 1.0 / tau)
     width = min(tau / 4.0, math.pi / (2.0 * speed))
-    n_panels = int(math.ceil(upper / width))
-    n_panels = max(8, min(n_panels, 400_000))
+    n_panels = max(8, int(math.ceil(upper / width)))
+    if n_panels > MAX_GAUSSIAN_PANELS:
+        raise QuadratureNonConvergentError(
+            f"gaussian correlation moment at c = {c!r} needs {n_panels} panels "
+            f"(limit {MAX_GAUSSIAN_PANELS})"
+        )
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     x = (edges[:-1] + half)[:, None] + half * _GL12_X[None, :]

@@ -13,6 +13,10 @@ where, for each final level f,
     Y = sum_n N[f,n] R[n,i] / (i (delta_ni + omega_k) + Gamma_n)
 
 are the two time orderings (photon vertex last / photon vertex first).
+At each k the regularized rate is one array evaluation: the coupling
+products of both orderings are formed as (channel, direction, f, n)
+arrays, divided by their propagators, reduced over n, and weighted by
+f~ evaluated once on the final-level line frequencies delta_fi + omega_k.
 The (8 pi / 3) factor is the polarization sum over the photon sphere for
 matrix elements with no preferred direction; the k^2 is the mode-density
 jacobian.  The single-mode normalization sqrt(hbar/(2 epsilon0 omega (2 pi)^3))
@@ -93,6 +97,20 @@ def _structure_matrices(spec: SystemSpec) -> tuple[np.ndarray, ...]:
     return tuple((-spec.charge / spec.mass) * p for p in spec.dipole_p)
 
 
+def _pathway_numerators(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling products of both orderings, shape (channel, direction, f, n).
+
+    Photon last: R[f,n] N[n,i]; photon first: N[f,n] R[n,i].  R is the
+    k-independent structure part; the mode amplitude multiplies later.
+    """
+    noise_ops = np.stack(spec.noise_ops)
+    rad = np.stack(_structure_matrices(spec))
+    i = spec.initial
+    photon_last = rad[None, :, :, :] * noise_ops[:, None, None, :, i]
+    photon_first = noise_ops[:, None, :, :] * rad[None, :, None, :, i]
+    return photon_last, photon_first
+
+
 def check_contributing_widths(spec: SystemSpec) -> None:
     """Reject zero-width levels that actually enter as intermediates.
 
@@ -100,44 +118,35 @@ def check_contributing_widths(spec: SystemSpec) -> None:
     passes through it; if one does, the long-time rate does not exist
     (the transition probability keeps a secular term).
     """
-    rad = _structure_matrices(spec)
-    i = spec.initial
-    for n in range(spec.size):
-        if spec.widths[n] > 0.0:
-            continue
-        for n_op in spec.noise_ops:
-            for r_op in rad:
-                photon_last = np.any(np.abs(r_op[:, n] * n_op[n, i]) > 0.0)
-                photon_first = np.any(np.abs(n_op[:, n] * r_op[n, i]) > 0.0)
-                if photon_last or photon_first:
-                    raise ZeroWidthError(
-                        f"level {spec.labels[n]!r} has zero width but carries a "
-                        f"second-order pathway; the long-time rate diverges through it"
-                    )
+    photon_last, photon_first = _pathway_numerators(spec)
+    carried = np.any((np.abs(photon_last) > 0.0) | (np.abs(photon_first) > 0.0), axis=(0, 1, 2))
+    blocked = np.flatnonzero(carried & ~(spec.widths > 0.0))
+    if blocked.size:
+        raise ZeroWidthError(
+            f"level {spec.labels[blocked[0]]!r} has zero width but carries a "
+            f"second-order pathway; the long-time rate diverges through it"
+        )
 
 
-def _path_amplitudes(
-    spec: SystemSpec,
-    k: float,
-    f: int,
-    ell: int,
-    j: int,
-    constants: CouplingConstants,
-) -> tuple[complex, complex]:
-    deltas = delta_matrix(spec, constants)
-    omega_k = constants.light_speed * k
-    r_mat = radiation_matrix(spec, k, j, constants)
-    n_mat = spec.noise_ops[ell]
-    i = spec.initial
-    denom_x = 1j * (deltas[f, :] + omega_k) - spec.widths
-    denom_y = 1j * (deltas[:, i] + omega_k) + spec.widths
-    num_x = r_mat[f, :] * n_mat[:, i]
-    num_y = n_mat[f, :] * r_mat[:, i]
+def _propagate(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     # a level without coupling must drop out even if its (never used)
     # propagator happens to be resonant with zero width
-    x_terms = np.where(num_x != 0.0, num_x / np.where(num_x != 0.0, denom_x, 1.0), 0.0)
-    y_terms = np.where(num_y != 0.0, num_y / np.where(num_y != 0.0, denom_y, 1.0), 0.0)
-    return complex(np.sum(x_terms)), complex(np.sum(y_terms))
+    coupled = num != 0.0
+    return np.sum(np.where(coupled, num / np.where(coupled, denom, 1.0), 0.0), axis=-1)
+
+
+def _line_weights(
+    spec: SystemSpec, noise: AnyNoise, k: float, constants: CouplingConstants
+) -> np.ndarray:
+    """|X - Y|^2 f~(delta_fi + omega_k) at one k, shape (channel, direction, f)."""
+    deltas = delta_matrix(spec, constants)
+    omega_k = constants.light_speed * k
+    i = spec.initial
+    photon_last, photon_first = _pathway_numerators(spec)
+    x_amp = _propagate(photon_last, 1j * (deltas + omega_k) - spec.widths)
+    y_amp = _propagate(photon_first, 1j * (deltas[:, i] + omega_k) + spec.widths)
+    line_density = spectral_density(noise, deltas[:, i] + omega_k)
+    return np.abs(mode_amplitude(k, constants) * (x_amp - y_amp)) ** 2 * line_density
 
 
 def emission_line_weight(
@@ -151,11 +160,7 @@ def emission_line_weight(
 ) -> float:
     """|X - Y|^2 f~(delta_fi + omega_k) for one (final, channel, direction)."""
     c = constants or CouplingConstants()
-    x_amp, y_amp = _path_amplitudes(spec, k, f, ell, j, c)
-    deltas = delta_matrix(spec, c)
-    omega_k = c.light_speed * k
-    ft = float(spectral_density(noise, deltas[f, spec.initial] + omega_k))
-    return abs(x_amp - y_amp) ** 2 * ft
+    return float(_line_weights(spec, noise, k, c)[ell, j, f])
 
 
 def pair_rate_terms(
@@ -201,31 +206,17 @@ def pair_rate_terms(
     return r11, r12, r22
 
 
-def _rate_prefactor(k: float, constants: CouplingConstants) -> float:
-    return (
-        ANGULAR_POLARIZATION_FACTOR
-        * k
-        * k
-        * constants.gamma
-        / (constants.hbar * constants.hbar)
-    )
-
-
 def emission_rate_at_k(
     spec: SystemSpec,
     noise: AnyNoise,
     k: float,
     constants: CouplingConstants | None = None,
 ) -> float:
-    """Regularized dGamma/dk at one wavenumber."""
+    """Regularized dGamma/dk at one wavenumber: one array evaluation."""
     c = constants or CouplingConstants()
     check_contributing_widths(spec)
-    total = 0.0
-    for f in range(spec.size):
-        for ell in range(len(spec.noise_ops)):
-            for j in range(len(spec.dipole_p)):
-                total += emission_line_weight(spec, noise, k, f, ell, j, c)
-    return _rate_prefactor(k, c) * total
+    total = float(np.sum(_line_weights(spec, noise, k, c)))
+    return ANGULAR_POLARIZATION_FACTOR * k * k * c.gamma / (c.hbar * c.hbar) * total
 
 
 def finite_time_probability(
@@ -351,7 +342,8 @@ def spectrum(
 
     Each k is computed independently (deterministically, in a fixed
     summation order), so the thread count changes wall time but never a
-    single bit of the result.
+    single bit of the result.  In regularized mode each k is one array
+    evaluation; intermediates stay of the system's size for any grid length.
     """
     c = constants or CouplingConstants()
     if mode not in MODES:

@@ -98,6 +98,22 @@ def test_bad_thread_env_is_a_config_error(tmp_path, monkeypatch):
     assert main(["spectrum", "--config", cfg]) == 2
 
 
+def test_zero_threads_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # must not fall through to the environment variable
+    cfg = _write_config(tmp_path, SPECTRUM_CFG)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    assert main(["spectrum", "--config", cfg, "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_negative_threads_is_a_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SPECTRUM_CFG)
+    assert main(["spectrum", "--config", cfg, "--threads", "-3"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import wofz
 
 from noise_radiance import (
     InvariantViolationError,
@@ -27,7 +28,7 @@ from noise_radiance import (
     spectral_density,
     validate_admissible,
 )
-from noise_radiance.noise import _poly_exp_integral
+from noise_radiance.noise import MAX_GAUSSIAN_PANELS, _poly_exp_integral
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -316,6 +317,33 @@ def test_gaussian_moment_vs_quadrature(c, t, k):
     got = corr_moment(model, c, t, k)
     ref = _moment_quadrature(model, c, t, k)
     assert got == pytest.approx(ref, rel=1e-7, abs=1e-12)
+
+
+def _gaussian_moment_closed_form(tau: float, c: complex, t: float) -> complex:
+    # int_0^t exp(c x - x^2/2 tau^2) dx / (tau sqrt(2 pi)) through the
+    # Faddeeva function: (w(i u0) - exp(c t - t^2/2 tau^2) w(i u1)) / 2
+    u0 = -c * tau / math.sqrt(2.0)
+    u1 = u0 + t / (math.sqrt(2.0) * tau)
+    return complex(0.5 * (wofz(1j * u0) - np.exp(c * t - t * t / (2.0 * tau * tau)) * wofz(1j * u1)))
+
+
+def test_gaussian_moment_over_panel_cap_raises():
+    # resolving Im(c) = 1e7 over the gaussian's reach needs ~6e7 panels;
+    # a capped quadrature returned 3.5e-6 i here against the exact 3.99e-8 i
+    assert _gaussian_moment_closed_form(1.0, 1e7j, 20.0) == pytest.approx(3.989422804e-8j, rel=1e-9)
+    with pytest.raises(QuadratureNonConvergentError, match="panels"):
+        corr_moment(NoiseModel.gaussian(1.0), 1e7j, 20.0)
+    # one panel beyond the cap is already refused
+    c_over = 1j * (MAX_GAUSSIAN_PANELS + 0.5) * math.pi / 2.0
+    with pytest.raises(QuadratureNonConvergentError):
+        corr_moment(NoiseModel.gaussian(1.0), c_over, 1.0)
+
+
+def test_gaussian_moment_at_panel_cap_is_accurate():
+    # panel width pi / (2 |c|) over [0, 1]: this c needs exactly the cap
+    c = 1j * (MAX_GAUSSIAN_PANELS - 0.5) * math.pi / 2.0
+    got = corr_moment(NoiseModel.gaussian(1.0), c, 1.0)
+    assert got == pytest.approx(_gaussian_moment_closed_form(1.0, c, 1.0), rel=1e-8)
 
 
 def test_tabulated_moment_vs_quadrature():
