@@ -170,24 +170,21 @@ def correlation_double_integral(noise: AnyNoise, a: complex, b: complex, t: floa
 
     Closed form in terms of one-sided Laplace moments of f; near b = -a the
     closed form cancels, so an expansion in eps = a + b (through eps^4)
-    takes over.
+    takes over.  The series needs the moments of order 0..5 at a and at -a;
+    each is fetched once.
     """
     a = complex(a)
     b = complex(b)
     eps = a + b
     if abs(eps * t) < NEAR_CANCEL_PHASE:
+        pos = [corr_moment(noise, a, t, m) for m in range(6)]
+        neg = [corr_moment(noise, -a, t, m) for m in range(6)]
         total = 0.0 + 0.0j
-        lneg = corr_laplace(noise, -a, t)
         for k in range(5):
             near = 0.0 + 0.0j
             for m in range(k + 2):
-                near += (
-                    math.comb(k + 1, m)
-                    * t ** (k + 1 - m)
-                    * (-1.0) ** m
-                    * corr_moment(noise, a, t, m)
-                )
-            far = t ** (k + 1) * lneg - corr_moment(noise, -a, t, k + 1)
+                near += math.comb(k + 1, m) * t ** (k + 1 - m) * (-1.0) ** m * pos[m]
+            far = t ** (k + 1) * neg[0] - neg[k + 1]
             total += eps**k / math.factorial(k + 1) * (near + far)
         return total
     la = corr_laplace(noise, a, t)

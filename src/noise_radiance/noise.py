@@ -23,10 +23,15 @@ the convention that keeps the double-time integrals of the kernel module
 exact (see ``corr_moment``).
 
 Models are immutable; all operations are pure functions of (model, args).
+The Gaussian correlation moments are memoized (``GAUSSIAN_MOMENT_CACHE_SIZE``
+entries, keyed on the unscaled shape) because the kernels ask for the same
+few moments thousands of times per spectrum; a cached value is the value the
+quadrature returns, so results do not depend on what was computed before.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -56,6 +61,9 @@ ADMISSIBILITY_FLOOR = -1e-9
 
 #: most Gauss-Legendre panels a Gaussian correlation moment may use
 MAX_GAUSSIAN_PANELS = 400_000
+
+#: distinct (tau, c, t, k) Gaussian moments kept in memory
+GAUSSIAN_MOMENT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -363,9 +371,19 @@ def load_correlation_file(path) -> NoiseModel:
 
 
 def corr_moment(model: AnyNoise, c: complex, t: float, k: int = 0) -> complex:
-    """Integral of x^k exp(c x) f(x) over x in [0, t]."""
+    """Integral of x^k exp(c x) f(x) over x in [0, t].
+
+    Gaussian moments come from a memo of the unscaled quadrature (see
+    ``_gaussian_moment``); the result is the same whether or not it was
+    cached.
+
+    Raises
+    ------
+    InvariantViolationError
+        If ``t`` is negative.
+    """
     if t < 0.0:
-        raise ValueError("t must be >= 0")
+        raise InvariantViolationError(f"t must be >= 0, got {t!r}")
     if isinstance(model, NoiseSum):
         return sum(corr_moment(p, c, t, k) for p in model.parts)
     if t == 0.0:
@@ -419,6 +437,7 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL12_X, _GL12_W = np.polynomial.legendre.leggauss(12)
 
 
+@functools.lru_cache(maxsize=GAUSSIAN_MOMENT_CACHE_SIZE)
 def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     """int_0^t x^k exp(c x) exp(-x^2 / 2 tau^2) / (tau sqrt(2 pi)) dx.
 
@@ -429,6 +448,12 @@ def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     Twelve-point panels keep the absolute error far below the severe
     cancellation that long oscillatory ranges produce.  Needing more than
     ``MAX_GAUSSIAN_PANELS`` panels raises ``QuadratureNonConvergentError``.
+
+    Memoized: the value is a pure function of its four arguments, and the
+    naive spectrum asks for each one many times.  Keys compare by value, so
+    c = 0.0 and c = -0.0 share an entry; the quadrature returns the same
+    bits for both (``math.fsum`` of signed zeros is +0.0).  A refusal is
+    not cached and is raised again on every call.
     """
     if t <= 0.0:
         return 0.0 + 0.0j

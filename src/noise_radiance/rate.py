@@ -215,6 +215,11 @@ def emission_rate_at_k(
     """Regularized dGamma/dk at one wavenumber: one array evaluation."""
     c = constants or CouplingConstants()
     check_contributing_widths(spec)
+    return _regularized_rate(spec, noise, k, c)
+
+
+def _regularized_rate(spec: SystemSpec, noise: AnyNoise, k: float, c: CouplingConstants) -> float:
+    # callers have run check_contributing_widths on this system
     total = float(np.sum(_line_weights(spec, noise, k, c)))
     return ANGULAR_POLARIZATION_FACTOR * k * k * c.gamma / (c.hbar * c.hbar) * total
 
@@ -366,10 +371,11 @@ def spectrum(
             return naive_rate_at_k(spec, noise, k, time, window, c)
 
     else:
+        # once per system; the k loop then skips the check
         check_contributing_widths(spec)
 
         def rate_at(k: float) -> float:
-            return emission_rate_at_k(spec, noise, k, c)
+            return _regularized_rate(spec, noise, k, c)
 
     values = np.empty(ks.size, dtype=float)
 

@@ -346,6 +346,22 @@ def test_gaussian_moment_at_panel_cap_is_accurate():
     assert got == pytest.approx(_gaussian_moment_closed_form(1.0, c, 1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        NoiseModel.white(),
+        NoiseModel.exponential(1.0),
+        NoiseModel.gaussian(0.7),
+        NoiseModel.tabulated(np.linspace(0.0, 3.0, 31), np.exp(-np.linspace(0.0, 3.0, 31))),
+        NoiseSum((NoiseModel.white(), NoiseModel.gaussian(0.7))),
+    ],
+    ids=["white", "exponential", "gaussian", "tabulated", "sum"],
+)
+def test_negative_time_is_a_typed_error(model):
+    with pytest.raises(InvariantViolationError, match="t must be >= 0"):
+        corr_moment(model, 0.3 + 1.0j, -1.0, 2)
+
+
 def test_tabulated_moment_vs_quadrature():
     s = np.linspace(0.0, 7.0, 141)
     model = NoiseModel.tabulated(s, np.exp(-s * s / 2.0), scale=1.1)

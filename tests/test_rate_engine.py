@@ -229,3 +229,36 @@ def test_spectral_density_evaluated_once_per_k(monkeypatch):
     ks = np.linspace(0.5, 2.0, 7)
     spectrum(spec, noise, ks, check_truncation=False)
     assert calls == [(spec.size,)] * ks.size
+
+
+def test_width_check_runs_once_per_spectrum(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec.size)
+        return check_contributing_widths(spec)
+
+    monkeypatch.setattr(rate_module, "check_contributing_widths", counting)
+    spec = builtin_oscillator_3d(n_max=1).with_widths(np.full(8, 0.1))
+    noise = NoiseModel.exponential(tau=1.0)
+    ks = np.linspace(0.5, 2.0, 7)
+    spectrum(spec, noise, ks, check_truncation=False)
+    assert calls == [spec.size]
+    calls.clear()
+    spectrum(spec, noise, ks)
+    # plus one in the re-run without the top level
+    assert calls == [spec.size, spec.size - 1]
+    calls.clear()
+    emission_rate_at_k(spec, noise, 0.8)
+    assert calls == [spec.size]
+
+
+@pytest.mark.filterwarnings("ignore::noise_radiance.errors.NonGroundInitialWarning")
+def test_spectrum_and_direct_call_raise_the_same_zero_width_error():
+    spec = two_level_toy(widths=(0.0, 0.12))
+    msg = "level 'lo' has zero width but carries a second-order pathway"
+    with pytest.raises(ZeroWidthError, match=msg) as direct:
+        emission_rate_at_k(spec, NoiseModel.white(), 1.1)
+    with pytest.raises(ZeroWidthError, match=msg) as via_spectrum:
+        spectrum(spec, NoiseModel.white(), [0.9, 1.1])
+    assert str(direct.value) == str(via_spectrum.value)
