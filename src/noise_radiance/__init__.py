@@ -21,8 +21,8 @@ Public API highlights
     assembled differential emission rate over a photon-momentum grid,
     in regularized (damped) or naive (zero-width, windowed) mode.
 ``estimate_Pfi`` / ``sample_noise``
-    Monte Carlo cross-check: synthesize noise trajectories and integrate
-    the second-order amplitudes directly.
+    Monte Carlo cross-check: Gaussian noise trajectories and the
+    second-order amplitude along each, read off its Gaussian weights.
 ``oracle_dT1_dt`` and friends
     independent quadrature oracles used by the test suite.
 """

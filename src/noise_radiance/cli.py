@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="sectioned key=value config file")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
+                       help=f"thread count, validated but without effect: the k "
+                            f"grid runs serially (default: ${THREADS_ENV} or 1)")
         p.add_argument("--seed", type=int, default=0, help="seed for stochastic commands")
 
     p_spec = sub.add_parser("spectrum", help="compute one emission spectrum")

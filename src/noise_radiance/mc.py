@@ -2,15 +2,30 @@
 
 The closed-form kernels promise the noise-averaged probability of finding
 the system in level f with one photon of wavenumber k at time t.  This
-module checks that promise the hard way: synthesize random noise
-trajectories with the requested correlation, integrate the two time-ordered
-second-order amplitudes along each trajectory, and average the squared sum.
+module checks that promise the hard way: draw random noise trajectories
+with the requested correlation, take the two time-ordered second-order
+amplitudes along each trajectory, and average the squared sum.
 
 Trajectory synthesis is spectral: independent Gaussian weights on a
 frequency grid shaped by f~, inverse-FFT'd to a stationary real process
 whose autocovariance converges to f (``empirical_autocovariance`` measures
 it).  Streams are counter-based, so trajectory r of seed s is the same
 numbers no matter the batch size or call pattern.
+
+The amplitudes are integrated on the sample grid (a trapezoid over a
+cumulative trapezoid), and that discretized amplitude is linear in the
+samples w: A = sum_s w[s] K[s], with a complex kernel K that depends only
+on (system, f, k, t, dt).  For the photon-first ordering K is the
+trapezoid weights times the deterministic inner integral; for the
+photon-last ordering it is the adjoint of the cumulative-trapezoid ->
+trapezoid pair, a reverse cumulative sum.  ``amplitude_paths`` applies K
+to given trajectories.  ``estimate_Pfi`` never builds them: w is the
+inverse real FFT of the Gaussian weights (xi, eta), so K is folded once
+through the adjoint of that transform (one zero-padded FFT and inverse
+FFT) into two complex vectors, and each trajectory's amplitude is
+A = xi . alpha + eta . beta over the same draws ``sample_noise`` uses.
+This is the spectral representation method (Shinozuka & Deodatis 1991)
+read in reverse.
 
 Assumption to keep in mind: trajectories are *Gaussian* by construction.
 Every second-order result in this package only ever uses the two-point
@@ -23,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .errors import (
     InadmissibleNoiseError,
@@ -60,12 +74,55 @@ class NoiseRealization:
 
 @dataclass(frozen=True)
 class AmplitudeEstimate:
-    """Sample mean and standard error of the transition probability."""
+    """Sample mean and standard error of the transition probability.
+
+    ``dt``, ``fft_length`` and ``padding_steps`` describe the synthesis
+    grid the trajectories were drawn on.
+    """
 
     mean: float
     stderr: float
     n_samples: int
     dt: float
+    fft_length: int
+    padding_steps: int
+
+
+@dataclass(frozen=True)
+class _SynthesisGrid:
+    """Spectral synthesis grid: M-point FFT, bin amplitudes, stream draws."""
+
+    n_steps: int  # samples covering the requested duration
+    padding: int  # samples added past it against periodic wraparound
+    m: int
+    amp: np.ndarray  # bin scale, shape (m // 2 + 1,)
+
+    def draw(self, seed: int, stream: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with stream ``stream``'s weights (xi, eta), concatenated."""
+        bitgen = np.random.Philox(key=[seed, 0], counter=[0, 0, 0, stream])
+        return np.random.Generator(bitgen).standard_normal(out=out)
+
+
+def _synthesis_grid(noise: AnyNoise, duration: float, dt: float) -> _SynthesisGrid:
+    if duration <= 0.0 or dt <= 0.0:
+        raise InvariantViolationError("duration and dt must be positive")
+    n_steps = int(math.ceil(duration / dt)) + 1
+    if n_steps < 8:
+        raise TrajectoryTooShortError(
+            f"only {n_steps} samples over the requested duration; lower dt"
+        )
+    pad = int(math.ceil(PADDING_CORR_TIMES * correlation_time(noise) / dt)) + 1
+    m = 1 << (n_steps + pad - 1).bit_length()
+    omega = 2.0 * math.pi * np.fft.rfftfreq(m, d=dt)
+    density = np.asarray(spectral_density(noise, omega), dtype=float)
+    floor = -1e-9 * float(np.max(np.abs(density), initial=1.0))
+    if np.any(density < floor):
+        raise InadmissibleNoiseError(
+            "spectral density is negative on the synthesis grid; "
+            "not a valid correlation function"
+        )
+    amp = np.sqrt(np.clip(density, 0.0, None) * m / dt)
+    return _SynthesisGrid(n_steps=n_steps, padding=pad, m=m, amp=amp)
 
 
 def default_time_step(spec: SystemSpec, noise: AnyNoise, k: float,
@@ -103,43 +160,107 @@ def sample_noise(
     block of the underlying bit generator: results are independent of
     batching.
     """
-    if duration <= 0.0 or dt <= 0.0:
-        raise InvariantViolationError("duration and dt must be positive")
-    n_steps = int(math.ceil(duration / dt)) + 1
-    if n_steps < 8:
-        raise TrajectoryTooShortError(
-            f"only {n_steps} samples over the requested duration; lower dt"
-        )
-    pad = int(math.ceil(PADDING_CORR_TIMES * correlation_time(noise) / dt)) + 1
-    m = 1 << (n_steps + pad - 1).bit_length()
-    omega = 2.0 * math.pi * np.fft.rfftfreq(m, d=dt)
-    density = np.asarray(spectral_density(noise, omega), dtype=float)
-    floor = -1e-9 * float(np.max(np.abs(density), initial=1.0))
-    if np.any(density < floor):
-        raise InadmissibleNoiseError(
-            "spectral density is negative on the synthesis grid; "
-            "not a valid correlation function"
-        )
-    amp = np.sqrt(np.clip(density, 0.0, None) * m / dt)
-
-    values = np.empty((n_traj, n_steps), dtype=float)
+    grid = _synthesis_grid(noise, duration, dt)
+    amp, bins = grid.amp, grid.amp.size
+    weights = np.empty(2 * bins)
+    values = np.empty((n_traj, grid.n_steps), dtype=float)
     for r in range(n_traj):
-        bitgen = np.random.Philox(key=[seed, 0], counter=[0, 0, 0, stream_offset + r])
-        rng = np.random.Generator(bitgen)
-        xi = rng.standard_normal(amp.size)
-        eta = rng.standard_normal(amp.size)
+        grid.draw(seed, stream_offset + r, weights)
+        xi, eta = weights[:bins], weights[bins:]
         coeff = amp * (xi + 1j * eta) / math.sqrt(2.0)
         # zero-frequency and Nyquist bins must be real for a real signal
         coeff[0] = amp[0] * xi[0]
         coeff[-1] = amp[-1] * xi[-1]
-        values[r] = np.fft.irfft(coeff, n=m)[:n_steps]
-    times = np.arange(n_steps) * dt
+        values[r] = np.fft.irfft(coeff, n=grid.m)[: grid.n_steps]
+    times = np.arange(grid.n_steps) * dt
     return NoiseRealization(times=times, values=values, dt=dt)
 
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    out = _sci_integrate.cumulative_trapezoid(y, dx=dx, axis=-1, initial=0.0)
-    return out
+    # scipy.integrate.cumulative_trapezoid(y, dx=dx, axis=-1, initial=0.0),
+    # in the same operation order
+    steps = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate([np.zeros_like(steps[..., :1]), steps], axis=-1)
+
+
+def _amplitude_kernels(
+    spec: SystemSpec,
+    f: int,
+    k: float,
+    n_steps: int,
+    dt: float,
+    c: CouplingConstants,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels (K_last, K_first) with amplitude = w @ K on samples s * dt.
+
+    The amplitudes are trapezoid rules over a cumulative trapezoid of the
+    samples w[0..n_steps-1]; both are linear in w, and these are their
+    coefficients.
+    """
+    if len(spec.noise_ops) != 1 or len(spec.dipole_p) != 1:
+        raise InvariantViolationError(
+            "trajectory amplitudes need exactly one noise channel and one dipole direction"
+        )
+    times = np.arange(n_steps) * dt
+    trap = np.full(n_steps, dt)
+    trap[0] = trap[-1] = 0.5 * dt
+
+    deltas = delta_matrix(spec, c)
+    omega_k = c.light_speed * k
+    r_mat = radiation_matrix(spec, k, 0, c)
+    n_mat = spec.noise_ops[0]
+    i = spec.initial
+
+    k_last = np.zeros(n_steps, dtype=complex)
+    k_first = np.zeros(n_steps, dtype=complex)
+    for n in range(spec.size):
+        gamma_n = float(spec.widths[n])
+        x_n = complex(r_mat[f, n] * n_mat[n, i])
+        y_n = complex(n_mat[f, n] * r_mat[n, i])
+        if x_n != 0.0:
+            # noise kick at the early time, photon at the late time:
+            # sum_j trap[j] outer[j] sum_{0<l<=j} (dt/2) (u[l] + u[l-1]),
+            # u = w * inner, gives sample s the weight (dt/2)(tail[s] +
+            # tail[s+1]) with tail[l] = sum_{j>=l} trap[j] outer[j],
+            # tail[0] -> 0 and tail[n_steps] = 0
+            outer = trap * np.exp((1j * (deltas[f, n] + omega_k) - gamma_n) * times)
+            tail = np.cumsum(outer[::-1])[::-1]
+            tail[0] = 0.0
+            adjoint = tail + np.append(tail[1:], 0.0)
+            inner = np.exp((1j * deltas[n, i] + gamma_n) * times)
+            k_last += x_n * (0.5 * dt) * adjoint * inner
+        if y_n != 0.0:
+            # photon at the early time, noise kick at the late time
+            inner = _cumulative_trapezoid(
+                np.exp((1j * (deltas[n, i] + omega_k) + gamma_n) * times), dt
+            )
+            outer = np.exp((1j * deltas[f, n] - gamma_n) * times)
+            k_first += y_n * trap * outer * inner
+    return k_last, k_first
+
+
+def _fold_through_synthesis(kernel: np.ndarray, grid: _SynthesisGrid) -> np.ndarray:
+    """Real (2, 2 * bins) matrix G with [Re A, Im A] = G @ [xi, eta].
+
+    A = sum_s w[s] kernel[s] for the trajectory ``sample_noise`` makes from
+    the weights (xi, eta): the adjoint of its irfft, applied to the kernel.
+    """
+    bins = grid.amp.size
+    padded = np.zeros(grid.m, dtype=complex)
+    padded[: kernel.size] = kernel
+    minus = np.fft.fft(padded)[:bins]  # sum_s K[s] exp(-2 pi i j s / m)
+    plus = grid.m * np.fft.ifft(padded)[:bins]  # sum_s K[s] exp(+2 pi i j s / m)
+    # bin j of irfft carries (2/m) Re(coeff_j exp(2 pi i j s / m)), with
+    # coeff_j = amp_j (xi_j + i eta_j) / sqrt(2)
+    scale = grid.amp * (math.sqrt(2.0) / grid.m)
+    alpha = scale * 0.5 * (plus + minus)
+    beta = scale * 0.5j * (plus - minus)
+    # zero-frequency and Nyquist bins: amp * xi, counted once
+    alpha[0] = grid.amp[0] / grid.m * minus[0]
+    alpha[-1] = grid.amp[-1] / grid.m * minus[-1]
+    beta[0] = beta[-1] = 0.0
+    both = np.concatenate([alpha, beta])
+    return np.stack([both.real, both.imag])
 
 
 def amplitude_paths(
@@ -157,56 +278,43 @@ def amplitude_paths(
     several independent channels a single scalar trajectory would correlate
     vertices that the theory treats as independent.
     """
-    if len(spec.noise_ops) != 1 or len(spec.dipole_p) != 1:
-        raise InvariantViolationError(
-            "trajectory amplitudes need exactly one noise channel and one dipole direction"
-        )
     c = constants or CouplingConstants()
-    if t > realization.duration + 1e-9 * realization.dt:
+    dt = realization.dt
+    if t > realization.duration + 1e-9 * dt:
         raise TrajectoryTooShortError(
             f"amplitudes requested at t={t} but trajectories end at {realization.duration}"
         )
-    n_steps = int(round(t / realization.dt)) + 1
-    n_steps = min(n_steps, realization.times.size)
-    times = realization.times[:n_steps]
-    w = realization.values[:, :n_steps]
-    dt = realization.dt
+    n_steps = min(int(round(t / dt)) + 1, realization.times.size)
+    k_last, k_first = _amplitude_kernels(spec, f, k, n_steps, dt, c)
+    # real and imaginary parts apart: no complex copy of the trajectories
+    kernels = np.stack([k_last.real, k_last.imag, k_first.real, k_first.imag], axis=1)
+    parts = realization.values[:, :n_steps] @ kernels
+    return parts[:, 0] + 1j * parts[:, 1], parts[:, 2] + 1j * parts[:, 3]
 
-    deltas = delta_matrix(spec, c)
-    omega_k = c.light_speed * k
-    r_mat = radiation_matrix(spec, k, 0, c)
-    n_mat = spec.noise_ops[0]
-    i = spec.initial
 
-    a_last = np.zeros(realization.n_traj, dtype=complex)
-    a_first = np.zeros(realization.n_traj, dtype=complex)
-    for n in range(spec.size):
-        gamma_n = float(spec.widths[n])
-        x_n = complex(r_mat[f, n] * n_mat[n, i])
-        y_n = complex(n_mat[f, n] * r_mat[n, i])
-        if x_n != 0.0:
-            # noise kick at the early time, photon at the late time
-            inner = _cumulative_trapezoid(
-                w * np.exp((1j * deltas[n, i] + gamma_n) * times), dt
-            )
-            outer = np.trapezoid(
-                np.exp((1j * (deltas[f, n] + omega_k) - gamma_n) * times) * inner,
-                dx=dt,
-                axis=-1,
-            )
-            a_last += x_n * outer
-        if y_n != 0.0:
-            # photon at the early time, noise kick at the late time
-            inner = _cumulative_trapezoid(
-                np.exp((1j * (deltas[n, i] + omega_k) + gamma_n) * times), dt
-            )
-            outer = np.trapezoid(
-                w * np.exp((1j * deltas[f, n] - gamma_n) * times) * inner,
-                dx=dt,
-                axis=-1,
-            )
-            a_first += y_n * outer
-    return a_last, a_first
+def _trajectory_amplitudes(
+    spec: SystemSpec,
+    noise: AnyNoise,
+    f: int,
+    k: float,
+    t: float,
+    dt: float,
+    n_traj: int,
+    seed: int,
+    c: CouplingConstants,
+) -> tuple[np.ndarray, _SynthesisGrid]:
+    """a_last + a_first of trajectories 0..n_traj-1, as ``sample_noise``
+    (duration t) and ``amplitude_paths`` would give them, plus the grid."""
+    grid = _synthesis_grid(noise, t, dt)
+    k_last, k_first = _amplitude_kernels(spec, f, k, int(round(t / dt)) + 1, dt, c)
+    fold = _fold_through_synthesis(k_last + k_first, grid)
+    weights = np.empty(fold.shape[1])
+    amplitudes = np.empty(n_traj, dtype=complex)
+    for r in range(n_traj):
+        # one fixed-shape product per stream: bits independent of batching
+        re, im = fold @ grid.draw(seed, r, weights)
+        amplitudes[r] = complex(re, im)
+    return amplitudes, grid
 
 
 def predicted_Pfi(
@@ -233,20 +341,23 @@ def estimate_Pfi(
     batch: int = 100,
     constants: CouplingConstants | None = None,
 ) -> AmplitudeEstimate:
-    """Monte Carlo estimate of the same probability, batched over streams."""
+    """Monte Carlo estimate of the same probability over streams 0..n_traj-1.
+
+    Each trajectory's amplitude is the dot product of its Gaussian weights
+    with the amplitude kernel folded through the synthesis transform (see
+    the module docstring): the same number, to rounding, as synthesizing
+    the trajectory with ``sample_noise`` and integrating it with
+    ``amplitude_paths``, with no trajectory stored: memory is a few arrays
+    of the FFT length plus one number per trajectory.  ``batch`` is kept
+    for existing callers; trajectories are taken one at a time, so it
+    changes no result.
+    """
     c = constants or CouplingConstants()
     if n_traj < 2:
         raise InvariantViolationError("need at least two trajectories")
     step = dt if dt is not None else default_time_step(spec, noise, k, c)
-    pref = c.gamma / (c.hbar * c.hbar)
-    samples = np.empty(n_traj, dtype=float)
-    done = 0
-    while done < n_traj:
-        take = min(batch, n_traj - done)
-        real = sample_noise(noise, t, step, take, seed, stream_offset=done)
-        a_last, a_first = amplitude_paths(spec, real, f, k, t, c)
-        samples[done : done + take] = pref * np.abs(a_last + a_first) ** 2
-        done += take
+    amplitudes, grid = _trajectory_amplitudes(spec, noise, f, k, t, step, n_traj, seed, c)
+    samples = c.gamma / (c.hbar * c.hbar) * np.abs(amplitudes) ** 2
     mean = float(np.sum(samples) / n_traj)
     var = float(np.sum((samples - mean) ** 2) / (n_traj - 1))
     return AmplitudeEstimate(
@@ -254,6 +365,8 @@ def estimate_Pfi(
         stderr=math.sqrt(var / n_traj),
         n_samples=n_traj,
         dt=step,
+        fft_length=grid.m,
+        padding_steps=grid.padding,
     )
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,10 +344,12 @@ def spectrum(
 ) -> EmissionSpectrum:
     """Emission spectrum over a wavenumber grid.
 
-    Each k is computed independently (deterministically, in a fixed
-    summation order), so the thread count changes wall time but never a
-    single bit of the result.  In regularized mode each k is one array
-    evaluation; intermediates stay of the system's size for any grid length.
+    Each k is computed independently, in a fixed summation order, one after
+    another.  ``threads`` is accepted for callers that pass it and changes
+    nothing: the per-k work is Python code or small numpy calls that hold
+    the interpreter lock, so worker threads never ran faster.  In
+    regularized mode each k is one array evaluation; intermediates stay of
+    the system's size for any grid length.
     """
     c = constants or CouplingConstants()
     if mode not in MODES:
@@ -377,18 +378,7 @@ def spectrum(
         def rate_at(k: float) -> float:
             return _regularized_rate(spec, noise, k, c)
 
-    values = np.empty(ks.size, dtype=float)
-
-    def fill(idx: int) -> None:
-        values[idx] = rate_at(float(ks[idx]))
-
-    workers = int(threads) if threads else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(ks.size)))
-    else:
-        for idx in range(ks.size):
-            fill(idx)
+    values = np.array([rate_at(float(k)) for k in ks], dtype=float)
 
     if check_truncation:
         reduced = _drop_top_level(spec)
@@ -402,7 +392,6 @@ def spectrum(
                     constants=c,
                     time=time,
                     window=window,
-                    threads=1,
                     check_truncation=False,
                 )
                 ref = np.max(np.abs(values))
