@@ -309,7 +309,8 @@ def _noise_admissibility_gate(noise: AnyNoise, omega_max: float) -> None:
         )
 
 
-def _spectrum_from_config(cp, base, args, mode: str) -> EmissionSpectrum:
+def _spectra_from_config(cp, base, args, modes: tuple[str, ...]) -> list[EmissionSpectrum]:
+    """Build the noise, system, grid and constants once; one spectrum per mode."""
     noise = build_noise(cp, base)
     system = build_system(cp, base)
     ks = build_grid(cp)
@@ -318,22 +319,25 @@ def _spectrum_from_config(cp, base, args, mode: str) -> EmissionSpectrum:
     _noise_admissibility_gate(noise, omega_max)
     time = cp.getfloat("rate", "time", fallback=None)
     window = cp.getfloat("rate", "window", fallback=None)
-    return spectrum(
-        system,
-        noise,
-        ks,
-        mode=mode,
-        constants=constants,
-        time=time,
-        window=window,
-        threads=_resolve_threads(args),
-    )
+    return [
+        spectrum(
+            system,
+            noise,
+            ks,
+            mode=mode,
+            constants=constants,
+            time=time,
+            window=window,
+            threads=_resolve_threads(args),
+        )
+        for mode in modes
+    ]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cp, base = _read_config(args.config)
     mode = cp.get("rate", "mode", fallback="regularized")
-    result = _spectrum_from_config(cp, base, args, mode)
+    (result,) = _spectra_from_config(cp, base, args, (mode,))
     csv_path = cp.get("output", "csv", fallback=None)
     if csv_path is None:
         raise InvariantViolationError("[output] needs csv = <path>")
@@ -356,8 +360,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cp, base = _read_config(args.config)
-    reg = _spectrum_from_config(cp, base, args, "regularized")
-    nai = _spectrum_from_config(cp, base, args, "naive")
+    reg, nai = _spectra_from_config(cp, base, args, ("regularized", "naive"))
     header = dict(reg.metadata)
     header["mode"] = "compare"
     header["naive_time"] = nai.metadata.get("time", "")

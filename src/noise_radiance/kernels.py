@@ -25,6 +25,14 @@ Two regimes matter:
 Everything here reduces to two primitives: the ordered double exponential
 integral and the correlation-weighted double integral ``I(a, b, t)``; both
 get series branches where their closed forms cancel catastrophically.
+
+The scalar kernels ``kernel_T1..T3`` and ``correlation_double_integral``
+are the reference route: one (n, m) pair, one time.  The naive spectrum
+takes the array route instead (``rate._finite_time_probabilities``):
+``correlation_double_integrals`` evaluates I(a, b, t) over arrays of
+arguments and times, fetching each Laplace moment once per distinct
+argument, and ``cmul``/``cdiv`` round complex products and quotients as
+CPython does, so every array entry has the bits of its scalar reference.
 """
 from __future__ import annotations
 
@@ -192,6 +200,110 @@ def correlation_double_integral(noise: AnyNoise, a: complex, b: complex, t: floa
     lma = corr_laplace(noise, -a, t)
     lmb = corr_laplace(noise, -b, t)
     return (cmath.exp(eps * t) * (lmb + lma) - (la + lb)) / eps
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as CPython rounds a complex product.
+
+    numpy's vector loops fuse multiply-adds, so ``a * b`` can differ from
+    the scalar product in the last bit; this one does not.
+    """
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, rounded as CPython rounds a complex quotient.
+
+    numpy multiplies by a reciprocal where CPython divides.  A zero divisor
+    gives inf or nan instead of raising.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    # divide through by the larger part of b (Smith's method, as CPython does)
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    big, small = np.where(wide, b.real, b.imag), np.where(wide, b.imag, b.real)
+    u, v = np.where(wide, a.real, a.imag), np.where(wide, a.imag, a.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = small / big
+        denom = big + small * ratio
+        cross = v - u * ratio
+        return _complex((u + v * ratio) / denom, np.where(wide, cross, -cross) / denom)
+
+
+# the series' coefficients comb(k+1, m) t^(k+1-m) (-1)^m, row k, column m
+# (0 past m = k + 1), taken apart so that t^(k+1-m) = t_pow[_POWER] and the
+# products round as the scalar loop's do
+_BINOMIAL = np.array([[math.comb(k + 1, m) for m in range(6)] for k in range(5)], dtype=float)
+_POWER = np.array([[max(k + 1 - m, 0) for m in range(6)] for k in range(5)])
+_SIGN = np.array([(-1.0) ** m for m in range(6)])
+_FACTORIALS = np.array([math.factorial(k + 1) for k in range(5)], dtype=float)[:, None]
+
+
+def correlation_double_integrals(noise: AnyNoise, a, b, times) -> np.ndarray:
+    """:func:`correlation_double_integral` over 1-d arrays a, b at each time.
+
+    Returns shape (len(times), a.size).  Every entry takes the branch and
+    has the bits of the scalar function, but each moment is fetched once
+    per time and distinct argument: corr_laplace at the distinct a, b, -a
+    and -b of the closed-form entries, the orders 0..5 at the distinct a
+    and -a of the near-cancellation ones.  Where eps = a + b is exactly 0
+    the series keeps only its eps^0 term, so orders 2..5 are not fetched
+    there: the scalar function multiplies them by 0.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    t = times[:, None]
+    eps = a + b
+    near = np.hypot(eps.real * t, eps.imag * t) < NEAR_CANCEL_PHASE
+
+    # the moments each entry needs: order 0 at a, b, -a, -b (closed form);
+    # orders 0, 1 at a and -a, and 2..5 unless eps = 0 (series)
+    args: dict[complex, int] = {}
+    ends = np.array(
+        [args.setdefault(v, len(args)) for v in np.concatenate([a, b, -a, -b]).tolist()],
+        dtype=int,
+    ).reshape(4, -1)  # index into args of a, b, -a, -b
+    needed = np.zeros((6, times.size, len(args)), dtype=bool)
+    ti, p = np.nonzero(~near)
+    needed[0, ti, ends[:, p]] = True
+    ti, p = np.nonzero(near)
+    needed[:2, ti, ends[::2, p]] = True
+    ti, p = np.nonzero(near & (eps != 0.0))
+    needed[2:, ti, ends[::2, p]] = True
+    table = np.zeros(needed.shape, dtype=complex)
+    which = np.nonzero(needed)
+    args_l, times_l = list(args), times.tolist()
+    table[which] = [
+        corr_moment(noise, args_l[v], times_l[i], m)
+        for m, i, v in zip(*(w.tolist() for w in which))
+    ]
+
+    la, lb, lma, lmb = table[0][:, ends].transpose(1, 0, 2)
+    closed = cdiv(cmul(np.exp(eps * t), lmb + lma) - (la + lb), eps)
+
+    # series: row k is eps^k / (k+1)! * (near_k + far_k), the rows summed in
+    # order; every sum below starts from 0 as the scalar loops do
+    pos = np.zeros((times.size, 7, a.size), dtype=complex)  # order m at slot m + 1
+    pos[:, 1:] = table[:, :, ends[0]].transpose(1, 0, 2)
+    neg = table[:, :, ends[2]]
+    t_pow = np.array([[tv**j for j in range(6)] for tv in times.tolist()])
+    coef = np.zeros((times.size, 5, 7, 1))
+    coef[:, :, 1:, 0] = _BINOMIAL * t_pow[:, _POWER] * _SIGN
+    near_k = np.cumsum(coef * pos[:, None], axis=2)[:, :, -1]
+    far_k = t_pow[:, 1:, None] * neg[0][:, None] - neg[1:].transpose(1, 0, 2)
+    square = cmul(eps, eps)
+    powers = np.array([np.ones_like(eps), eps, square, cmul(eps, square), cmul(square, square)])
+    scaled = _complex(powers.real / _FACTORIALS, powers.imag / _FACTORIALS)
+    rows = np.zeros((times.size, 6, a.size), dtype=complex)
+    rows[:, 1:] = cmul(scaled, near_k + far_k)
+    return np.where(near, np.cumsum(rows, axis=1)[:, -1], closed)
 
 
 def correlation_double_integral_derivative(

@@ -35,6 +35,7 @@ ensemble is not a stand-in for arbitrary non-Gaussian noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,24 @@ class _SynthesisGrid:
     m: int
     amp: np.ndarray  # bin scale, shape (m // 2 + 1,)
 
-    def draw(self, seed: int, stream: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with stream ``stream``'s weights (xi, eta), concatenated."""
-        bitgen = np.random.Philox(key=[seed, 0], counter=[0, 0, 0, stream])
-        return np.random.Generator(bitgen).standard_normal(out=out)
+    @staticmethod
+    def drawer(seed: int) -> Callable[[int, np.ndarray], np.ndarray]:
+        """``draw(stream, out)`` fills ``out`` with the stream's weights (xi, eta).
+
+        One Philox bit generator serves every stream of the seed: each draw
+        resets it to key [seed, 0] and counter [0, 0, 0, stream], the state a
+        new ``Philox(key=..., counter=...)`` starts from.
+        """
+        bitgen = np.random.Philox(key=[seed, 0])
+        normal = np.random.Generator(bitgen).standard_normal
+        state = bitgen.state
+
+        def draw(stream: int, out: np.ndarray) -> np.ndarray:
+            state["state"]["counter"] = np.array([0, 0, 0, stream], dtype=np.uint64)
+            bitgen.state = state
+            return normal(out=out)
+
+        return draw
 
 
 def _synthesis_grid(noise: AnyNoise, duration: float, dt: float) -> _SynthesisGrid:
@@ -164,8 +179,9 @@ def sample_noise(
     amp, bins = grid.amp, grid.amp.size
     weights = np.empty(2 * bins)
     values = np.empty((n_traj, grid.n_steps), dtype=float)
+    draw = grid.drawer(seed)
     for r in range(n_traj):
-        grid.draw(seed, stream_offset + r, weights)
+        draw(stream_offset + r, weights)
         xi, eta = weights[:bins], weights[bins:]
         coeff = amp * (xi + 1j * eta) / math.sqrt(2.0)
         # zero-frequency and Nyquist bins must be real for a real signal
@@ -310,9 +326,10 @@ def _trajectory_amplitudes(
     fold = _fold_through_synthesis(k_last + k_first, grid)
     weights = np.empty(fold.shape[1])
     amplitudes = np.empty(n_traj, dtype=complex)
+    draw = grid.drawer(seed)
     for r in range(n_traj):
         # one fixed-shape product per stream: bits independent of batching
-        re, im = fold @ grid.draw(seed, r, weights)
+        re, im = fold @ draw(r, weights)
         amplitudes[r] = complex(re, im)
     return amplitudes, grid
 

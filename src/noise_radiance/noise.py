@@ -24,8 +24,9 @@ exact (see ``corr_moment``).
 
 Models are immutable; all operations are pure functions of (model, args).
 The Gaussian correlation moments are memoized (``GAUSSIAN_MOMENT_CACHE_SIZE``
-entries, keyed on the unscaled shape) because the kernels ask for the same
-few moments thousands of times per spectrum; a cached value is the value the
+entries, keyed on the unscaled shape, on the range the quadrature actually
+covers and on c folded to Im c >= 0) because the kernels ask for the same
+few moments many times per spectrum; a cached value is the value the
 quadrature returns, so results do not depend on what was computed before.
 """
 from __future__ import annotations
@@ -381,7 +382,10 @@ def corr_moment(model: AnyNoise, c: complex, t: float, k: int = 0) -> complex:
 
     Gaussian moments come from a memo of the unscaled quadrature (see
     ``_gaussian_moment``); the result is the same whether or not it was
-    cached.
+    cached.  The memo is keyed on the range the quadrature covers, t cut
+    where the Gaussian bump has died, so all times past the cut share one
+    entry; and since f is real, M(conj c) = conj M(c), so a c with
+    Im c < 0 is looked up as its conjugate.  Both keep every bit.
 
     Raises
     ------
@@ -402,7 +406,12 @@ def corr_moment(model: AnyNoise, c: complex, t: float, k: int = 0) -> complex:
         alpha = c - 1.0 / tau
         return model.scale / (2.0 * tau) * _poly_exp_integral(alpha, t, k)
     if model.kind == GAUSSIAN:
-        return model.scale * _gaussian_moment(model.corr_time, c, t, k)
+        # the cut of ``_gaussian_moment``, the same expression and so the same bits
+        tau = model.corr_time
+        upper = min(float(t), max(0.0, c.real) * tau * tau + 10.0 * tau)
+        if c.imag < 0.0:
+            return model.scale * _gaussian_moment(tau, c.conjugate(), upper, k).conjugate()
+        return model.scale * _gaussian_moment(tau, c, upper, k)
     return model.scale * _tabulated_moment(model, c, t, k)
 
 
@@ -456,10 +465,13 @@ def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     ``MAX_GAUSSIAN_PANELS`` panels raises ``QuadratureNonConvergentError``.
 
     Memoized: the value is a pure function of its four arguments, and the
-    naive spectrum asks for each one many times.  Keys compare by value, so
-    c = 0.0 and c = -0.0 share an entry; the quadrature returns the same
-    bits for both (``math.fsum`` of signed zeros is +0.0).  A refusal is
-    not cached and is raised again on every call.
+    naive spectrum asks for each one many times.  ``corr_moment`` passes
+    the cut range as ``t`` (the cut then changes nothing) and c with
+    Im c >= 0, so that times past the cut and conjugate arguments share
+    entries.  Keys compare by value, so c = 0.0 and c = -0.0 share an
+    entry; the quadrature returns the same bits for both (``math.fsum`` of
+    signed zeros is +0.0).  A refusal is not cached and is raised again on
+    every call.
     """
     if t <= 0.0:
         return 0.0 + 0.0j
@@ -481,7 +493,8 @@ def _gaussian_moment(tau: float, c: complex, t: float, k: int) -> complex:
     norm = 1.0 / (tau * math.sqrt(2.0 * math.pi))
     # exactly-rounded summation: long oscillatory ranges cancel by many
     # orders of magnitude, which ordinary pairwise summation cannot survive
-    return norm * complex(math.fsum(vals.real.ravel()), math.fsum(vals.imag.ravel()))
+    return norm * complex(math.fsum(vals.real.ravel().tolist()),
+                          math.fsum(vals.imag.ravel().tolist()))
 
 
 def _tabulated_moment(model: NoiseModel, c: complex, t: float, k: int) -> complex:

@@ -31,8 +31,9 @@ Two modes:
   ``ZeroWidthError``).  The noise enters only at the emitted line
   frequency delta_fi + omega_k.
 * ``naive`` - all widths forced to zero, the finite-time transition
-  probability assembled exactly, and the rate taken as a windowed
-  difference quotient [P(t+W) - P(t)] / W.  This keeps the secular
+  probability assembled exactly (as arrays over the coupled final and
+  intermediate levels, both times at once), and the rate taken as a
+  windowed difference quotient [P(t+W) - P(t)] / W.  This keeps the secular
   contribution weighted by the noise spectrum at the intermediate-level
   gaps, which is exactly the pathology the regularized mode removes;
   exposing both makes the difference measurable.
@@ -52,10 +53,12 @@ from .errors import (
     ZeroWidthError,
 )
 from .kernels import (
+    _VERTEX_FLOOR,
     KernelParams,
-    kernel_T1,
-    kernel_T2,
-    kernel_T3,
+    _guard_vertex,
+    cdiv,
+    cmul,
+    correlation_double_integrals,
     rate_T1_longtime,
     rate_T2_longtime,
     rate_T3_longtime,
@@ -96,14 +99,15 @@ def _structure_matrices(spec: SystemSpec) -> tuple[np.ndarray, ...]:
     return tuple((-spec.charge / spec.mass) * p for p in spec.dipole_p)
 
 
-def _pathway_numerators(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+def _pathway_numerators(spec: SystemSpec, amplitude: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Coupling products of both orderings, shape (channel, direction, f, n).
 
     Photon last: R[f,n] N[n,i]; photon first: N[f,n] R[n,i].  R is the
-    k-independent structure part; the mode amplitude multiplies later.
+    k-independent structure part times ``amplitude``; the regularized rate
+    leaves it at 1 and multiplies the mode amplitude later.
     """
     noise_ops = np.stack(spec.noise_ops)
-    rad = np.stack(_structure_matrices(spec))
+    rad = amplitude * np.stack(_structure_matrices(spec))
     i = spec.initial
     photon_last = rad[None, :, :, :] * noise_ops[:, None, None, :, i]
     photon_first = noise_ops[:, None, :, :] * rad[None, :, None, :, i]
@@ -223,6 +227,110 @@ def _regularized_rate(spec: SystemSpec, noise: AnyNoise, k: float, c: CouplingCo
     return ANGULAR_POLARIZATION_FACTOR * k * k * c.gamma / (c.hbar * c.hbar) * total
 
 
+def _finite_time_probabilities(
+    spec: SystemSpec,
+    noise: AnyNoise,
+    k: float,
+    times,
+    c: CouplingConstants,
+    zero_widths: bool,
+    finals,
+) -> np.ndarray:
+    """P(f, t) for every t in ``times`` and f in ``finals``, shape (times, finals).
+
+    The coupling-weighted sum of ``kernel_T1..T3`` over (channel, direction,
+    n, m), as arrays over the coupled entries only: each kernel is formed
+    once per (f, n, m) that a coupled pair needs, each correlation double
+    integral the three share once per (f, n, m), and each Laplace moment
+    once per distinct vertex and time.  Every kernel has the scalar
+    kernel's bits, and each sum over f runs in the scalar order (channel,
+    direction, n, m, then T1, T2, T3), so P has the bits of the scalar sum
+    whenever the coupling products do.
+    """
+    times = np.asarray(times, dtype=float)
+    finals = np.asarray(finals)
+    deltas = delta_matrix(spec, c)
+    omega_k = c.light_speed * k
+    widths = np.zeros(spec.size) if zero_widths else spec.widths
+    # coupling products, (f, channel x direction, n)
+    x, y = (
+        num[:, :, finals].reshape(-1, finals.size, spec.size).transpose(1, 0, 2)
+        for num in _pathway_numerators(spec, mode_amplitude(k, c))
+    )
+    # T1, T2, T3 pair u_n with v_m: where the scalar loops evaluate each, at
+    # (f, channel x direction, n, m)
+    u, v = np.array([x, x, y]), np.array([x, y, y])
+    uses = (u != 0.0)[..., :, None] & (v != 0.0)[..., None, :]
+    fq, eq, nq, mq = np.nonzero(uses.any(axis=0))  # coupled entries, in scalar order
+    need = uses.any(axis=2)  # (kernel, f, n, m)
+    fp, n, m = np.nonzero(need.any(axis=0))  # entries some kernel needs
+    slot = np.zeros(need.shape[1:], dtype=int)
+    slot[fp, n, m] = np.arange(fp.size)
+    kq = slot[fq, nq, mq]
+    uq = uses[:, fq, eq, nq, mq]
+
+    # vertices of KernelParams(delta_fn, delta_ni, delta_fm, delta_mi, ...)
+    d_fn, d_fm = deltas[finals[fp], n], deltas[finals[fp], m]
+    d_ni, d_mi = deltas[n, spec.initial], deltas[m, spec.initial]
+    g_n, g_m = widths[n], widths[m]
+    photon = 1j * (d_fn + omega_k) - g_n  # alpha = a_v
+    photon_conj = -1j * (d_fm + omega_k) - g_m  # gbar
+    late = -1j * (d_mi + omega_k) + g_m  # b_v = d_v
+    early = 1j * (d_ni + omega_k) + g_n  # c_v
+    guarded = np.array([photon, photon_conj, photon, late, early, late])
+    bad = uq[[0, 0, 1, 1, 2, 2]] & (np.hypot(guarded.real, guarded.imag) < _VERTEX_FLOOR)[:, kq]
+    if bad.any():
+        # the first one the scalar loops would meet
+        q, which = np.argwhere(bad.T)[0]
+        kernel, side = divmod(int(which), 2)
+        _guard_vertex(
+            complex(guarded[which, kq[q]]),
+            f"T{kernel + 1} {'conjugate ' if side else ''}photon vertex",
+        )
+
+    # I(a, b, t) of the three kernels, each where a kernel needs it
+    beta = 1j * d_ni + g_n
+    delta = -1j * d_mi + g_m
+    cn = 1j * d_fn - g_n
+    cm = -1j * d_fm - g_m
+    wp = 1j * (d_fn + d_ni + omega_k)  # i omega_plus, formed as KernelParams forms it
+    u1, u2, u3 = need[:, fp, n, m]
+    a = np.array([beta, beta, wp, wp, beta, wp, cn, cn])
+    b = np.array([delta, -wp, delta, -wp, cm, cm, -wp, cm])
+    s, p = np.nonzero(np.array([u1, u1 | u2, u1, u1 | u2 | u3, u2, u2 | u3, u3, u3]))
+    ii = np.zeros((8, times.size, fp.size), dtype=complex)
+    ii[s, :, p] = correlation_double_integrals(noise, a[s, p], b[s, p], times).T
+    i_bd, i_bw, i_wd, i_ww, i_bc, i_wc, i_cw, i_cc = ii
+
+    t = times[:, None]
+    e_photon = np.exp(photon * t)
+    e_both, e_conj = np.exp((photon + photon_conj) * t), np.exp(photon_conj * t)
+    prod = cmul(np.array([e_both, e_photon, e_conj, e_photon]), np.array([i_bd, i_bw, i_wd, i_bc]))
+    kernels = cdiv(
+        np.array([
+            prod[0] - prod[1] - prod[2] + i_ww,
+            prod[1] - prod[3] - i_ww + i_wc,
+            i_ww - i_wc - i_cw + i_cc,
+        ]),
+        cmul(np.array([photon, photon, early]), np.array([photon_conj, late, late]))[:, None],
+    )[:, :, kq]
+    # weight * Re(u_n conj(v_m) T[n, m]) where the scalar loops add it
+    w = cmul(u[:, fq, eq, nq], np.conj(v[:, fq, eq, mq]))
+    with np.errstate(invalid="ignore"):  # unused kernels may be inf or nan
+        terms = np.where(
+            uq[:, None],
+            np.array([1.0, 2.0, 1.0])[:, None, None]
+            * (w.real[:, None] * kernels.real - w.imag[:, None] * kernels.imag),
+            0.0,
+        )
+    # each f's terms in scalar order behind a leading 0, then a sequential sum
+    rank = np.arange(fq.size) - np.searchsorted(fq, fq) + 1
+    rows = np.zeros((times.size, finals.size, rank.max(initial=0) + 1, 3))
+    rows[:, fq, rank] = terms.transpose(1, 2, 0)
+    totals = np.cumsum(rows.reshape(times.size, finals.size, -1), axis=-1)[..., -1]
+    return totals * c.gamma / (c.hbar * c.hbar)
+
+
 def finite_time_probability(
     spec: SystemSpec,
     noise: AnyNoise,
@@ -237,47 +345,17 @@ def finite_time_probability(
     Sums the three finite-time kernels over intermediate pairs with the
     coupling products, over all channels and directions, including the
     gamma/hbar^2 noise-strength prefactor.  ``zero_widths`` evaluates the
-    undamped kernels regardless of the widths stored on the system.
+    undamped kernels regardless of the widths stored on the system.  The
+    sum is array code (see ``_finite_time_probabilities``) with the bits
+    of the per-pair sum of ``kernel_T1..T3``, which stay the reference.
+
+    Raises
+    ------
+    InvariantViolationError
+        If a kernel that a coupled pair needs has a vanishing vertex.
     """
     c = constants or CouplingConstants()
-    r_structure = _structure_matrices(spec)
-    deltas = delta_matrix(spec, c)
-    omega_k = c.light_speed * k
-    widths = np.zeros(spec.size) if zero_widths else spec.widths
-    i = spec.initial
-    alpha_k = mode_amplitude(k, c)
-    total = 0.0 + 0.0j
-    for ell in range(len(spec.noise_ops)):
-        n_mat = spec.noise_ops[ell]
-        for j in range(len(spec.dipole_p)):
-            r_mat = alpha_k * r_structure[j]
-            for n in range(spec.size):
-                x_n = r_mat[f, n] * n_mat[n, i]
-                y_n = n_mat[f, n] * r_mat[n, i]
-                if x_n == 0.0 and y_n == 0.0:
-                    continue
-                for m in range(spec.size):
-                    x_m = r_mat[f, m] * n_mat[m, i]
-                    y_m = n_mat[f, m] * r_mat[m, i]
-                    if x_m == 0.0 and y_m == 0.0:
-                        continue
-                    params = KernelParams(
-                        delta_fn=float(deltas[f, n]),
-                        delta_ni=float(deltas[n, i]),
-                        delta_fm=float(deltas[f, m]),
-                        delta_mi=float(deltas[m, i]),
-                        omega_k=omega_k,
-                        gamma_n=float(widths[n]),
-                        gamma_m=float(widths[m]),
-                    )
-                    if x_n != 0.0 and x_m != 0.0:
-                        total += x_n * np.conj(x_m) * kernel_T1(params, noise, t)
-                    if x_n != 0.0 and y_m != 0.0:
-                        total += 2.0 * (x_n * np.conj(y_m) * kernel_T2(params, noise, t)).real
-                    if y_n != 0.0 and y_m != 0.0:
-                        total += y_n * np.conj(y_m) * kernel_T3(params, noise, t)
-    prob = complex(total)
-    return prob.real * c.gamma / (c.hbar * c.hbar)
+    return float(_finite_time_probabilities(spec, noise, k, [t], c, zero_widths, [f])[0, 0])
 
 
 def naive_rate_at_k(
@@ -291,18 +369,22 @@ def naive_rate_at_k(
     """Undamped dGamma/dk as a windowed difference quotient.
 
     All widths are forced to zero, the exact finite-time probability is
-    assembled at ``time`` and ``time + window``, and the slope is returned.
-    Unlike the regularized rate this retains the secular weight at the
-    intermediate-level gaps and never settles as the window grows.
+    assembled at ``time`` and ``time + window`` for every final level in
+    one array pass, and the slope is returned.  Unlike the regularized
+    rate this retains the secular weight at the intermediate-level gaps
+    and never settles as the window grows.
     """
     c = constants or CouplingConstants()
     if not (time > 0.0) or not (window > 0.0):
         raise InvariantViolationError("naive mode needs a positive time and window")
+    probs = _finite_time_probabilities(
+        spec, noise, k, [time, time + window], c, True, range(spec.size)
+    )
     p_lo = 0.0
     p_hi = 0.0
-    for f in range(spec.size):
-        p_lo += finite_time_probability(spec, noise, f, k, time, c, zero_widths=True)
-        p_hi += finite_time_probability(spec, noise, f, k, time + window, c, zero_widths=True)
+    for lo, hi in zip(*probs.tolist()):  # summed over f in order, as floats
+        p_lo += lo
+        p_hi += hi
     # gamma/hbar^2 already lives inside the probabilities
     return ANGULAR_POLARIZATION_FACTOR * k * k * (p_hi - p_lo) / window
 

@@ -187,7 +187,7 @@ def test_tabulated_transform_matches_analytic_value():
 
 
 def test_tabulated_transform_nonconvergent_raises():
-    # a cusped, truncated table cannot pass the grid-halving check
+    # the table ends at e^-5 = 6.7e-3 of its peak, above the 1e-6 decay limit
     s = np.linspace(0.0, 5.0, 33)
     table = NoiseModel.tabulated(s, np.exp(-s))
     with pytest.raises(QuadratureNonConvergentError):
